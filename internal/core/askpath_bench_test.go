@@ -111,3 +111,65 @@ func BenchmarkAskTellWarm(b *testing.B) {
 		}
 	}
 }
+
+// warmGridAskTell returns a ranking ask/tell session over the
+// levels^6 grid, driven serially (Ask(1) + Tell) through warm
+// evaluations, and its objective.
+func warmGridAskTell(tb testing.TB, levels, warm int) (*core.AskTell, func(space.Config) float64) {
+	tb.Helper()
+	lv := make([]int, levels)
+	for i := range lv {
+		lv[i] = i
+	}
+	ps := make([]space.Param, 6)
+	for i := range ps {
+		ps[i] = space.DiscreteInts(string(rune('a'+i)), lv...)
+	}
+	sp := space.New(ps...)
+	value := func(c space.Config) float64 {
+		v := 1.0
+		for i, x := range c {
+			d := x - float64((3*i+1)%levels)
+			v += (1 + 0.1*float64(i)) * d * d
+		}
+		return v
+	}
+	tn, err := core.NewTuner(sp, func(space.Config) float64 { panic("driven externally") },
+		core.Options{Seed: 7, Parallelism: 2})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	at := core.NewAskTell(tn)
+	now := time.Unix(0, 0)
+	for tn.Evaluations() < warm {
+		askTellOnce(tb, at, value, now)
+	}
+	return at, value
+}
+
+// askTellOnce leases one candidate and reports its value.
+func askTellOnce(tb testing.TB, at *core.AskTell, value func(space.Config) float64, now time.Time) {
+	picks, err := at.Ask(1, time.Minute, now)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if len(picks) != 1 {
+		tb.Fatal("no pick")
+	}
+	if _, err := at.Tell(picks[0], value(picks[0])); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkAskTellGrid262k is the serving loop of a session on the
+// 8^6 = 262,144-point grid: one Ask(1) and one Tell per iteration,
+// ranking over the whole materialized pool.
+func BenchmarkAskTellGrid262k(b *testing.B) {
+	at, value := warmGridAskTell(b, 8, 40)
+	now := time.Unix(0, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		askTellOnce(b, at, value, now)
+	}
+}

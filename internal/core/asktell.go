@@ -47,21 +47,25 @@ type Lease struct {
 // and releases the matching lease.
 type AskTell struct {
 	t      *Tuner
-	leases map[string]Lease
+	leases idMap[Lease]
 	heap   leaseHeap // expiry-ordered; never holds forever-leases
 	ver    uint64    // monotonic heap-entry version counter
 
-	suggested map[string]bool // every key ever handed out by Ask
-	dups      int64           // re-suggestions of a previously handed-out key
+	// lapsed holds the candidates whose lease expired without a
+	// result. Leasing one again counts a duplicate suggestion and
+	// removes it; its result arriving removes it too. Unlike a record
+	// of every suggestion, it is bounded by the unreported expiries.
+	lapsed *configSet
+	dups   int64 // re-suggestions of a lapsed candidate
 }
 
 // NewAskTell wraps t. The tuner must not be driven through Step/Run
 // concurrently with Ask/Tell.
 func NewAskTell(t *Tuner) *AskTell {
 	return &AskTell{
-		t:         t,
-		leases:    make(map[string]Lease),
-		suggested: make(map[string]bool),
+		t:      t,
+		leases: newIDMap(0, func(l Lease) space.Config { return l.Config }),
+		lapsed: newConfigSet(t.sp, 0),
 	}
 }
 
@@ -79,14 +83,14 @@ func (a *AskTell) InitialPhase() bool {
 // now. Each live lease has exactly one pending fantasy in the history.
 func (a *AskTell) Leases(now time.Time) int {
 	a.expire(now)
-	return len(a.leases)
+	return a.leases.len()
 }
 
-// DuplicateSuggestions counts configurations Ask handed out more than
-// once over the session's lifetime. Under live leases it stays 0 by
-// construction; it only advances when an expired (or stolen) lease's
-// candidate is legitimately re-issued — the observable duplicate-work
-// metric surfaced per session and in /metrics.
+// DuplicateSuggestions counts leases of a candidate whose earlier
+// lease had expired without a result. Under live leases it stays 0
+// by construction; it only advances when an expired (or stolen)
+// lease's candidate is legitimately re-issued — the observable
+// duplicate-work metric surfaced per session and in /metrics.
 func (a *AskTell) DuplicateSuggestions() int64 { return a.dups }
 
 // expire drops every lease whose deadline has passed, popping the
@@ -101,41 +105,47 @@ func (a *AskTell) expire(now time.Time) {
 			return
 		}
 		a.heap.pop()
-		l, ok := a.leases[top.key]
-		if !ok || l.ver != top.ver {
+		l, ok := a.leases.find(top.id, func(l Lease) bool { return l.ver == top.ver })
+		if !ok {
 			continue // released or renewed since this entry was pushed
 		}
-		delete(a.leases, top.key)
-		a.t.history.RemovePendingKey(top.key)
+		a.leases.del(top.id, l.Config)
+		a.t.history.RemovePending(l.Config)
+		a.lapsed.add(l.Config)
 	}
 }
 
-// lease records one handed-out candidate: lease-map entry, expiry-heap
-// entry (finite deadlines only), pending fantasy, and the duplicate
-// counter.
+// lease records one picked candidate: lease-map entry, expiry-heap
+// entry (finite deadlines only) and pending fantasy.
 func (a *AskTell) lease(c space.Config, deadline time.Time) {
-	key := a.t.sp.Key(c)
+	c = c.Clone()
+	id := a.t.sp.ID(c)
 	a.ver++
-	a.leases[key] = Lease{Config: c.Clone(), Expires: deadline, ver: a.ver}
+	a.leases.set(id, c, Lease{Config: c, Expires: deadline, ver: a.ver})
 	if !deadline.IsZero() {
-		a.heap.push(leaseEntry{at: deadline, key: key, ver: a.ver})
+		a.heap.push(leaseEntry{at: deadline, id: id, ver: a.ver})
 	}
 	a.t.history.AddPending(c)
-	if a.suggested[key] {
-		a.dups++
-	} else {
-		a.suggested[key] = true
-	}
 }
 
-// release drops a lease and its pending fantasy (no-op when the key is
-// not leased). The heap entry is left behind for lazy deletion.
-func (a *AskTell) release(key string) {
-	if _, ok := a.leases[key]; !ok {
-		return
+// handOut counts the picks of a successful Ask that re-issue a lapsed
+// candidate. It runs only once the picks are handed out, so picks an
+// Ask rolled back never count as duplicates.
+func (a *AskTell) handOut(picks []space.Config) []space.Config {
+	for _, c := range picks {
+		if a.lapsed.remove(c) {
+			a.dups++
+		}
 	}
-	delete(a.leases, key)
-	a.t.history.RemovePendingKey(key)
+	return picks
+}
+
+// release drops a lease and its pending fantasy (no-op when c is not
+// leased). The heap entry is left behind for lazy deletion.
+func (a *AskTell) release(c space.Config) {
+	if a.leases.del(a.t.sp.ID(c), c) {
+		a.t.history.RemovePending(c)
+	}
 }
 
 // Ask leases up to k distinct, not-yet-evaluated, not-currently-leased
@@ -147,43 +157,41 @@ func (a *AskTell) release(key string) {
 // forever. A short (or empty) result means the unevaluated pool net of
 // live leases is smaller than k.
 //
-// With no outstanding leases and k = 1 the selection is bit-identical
-// to SelectBatch(1): the fantasy is added only after the pick, and is
-// removed when the result is told, so the serial ask/tell path matches
-// the Tuner-driven loop exactly.
+// The pending overlay holds exactly the live leases, so the tuner's
+// own exclusion of pending configurations (History.Taken) is the lease
+// filter. With no outstanding leases and k = 1 the selection is
+// bit-identical to SelectBatch(1): the fantasy is added only after the
+// pick, and is removed when the result is told, so the serial ask/tell
+// path matches the Tuner-driven loop exactly.
 func (a *AskTell) Ask(k int, ttl time.Duration, now time.Time) ([]space.Config, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: Ask with k < 1")
 	}
 	a.expire(now)
-	leased := func(c space.Config) bool {
-		_, ok := a.leases[a.t.sp.Key(c)]
-		return ok
-	}
 	deadline := time.Time{}
 	if ttl > 0 {
 		deadline = now.Add(ttl)
 	}
 
 	if a.InitialPhase() {
-		picks, err := a.t.SelectInitial(k, leased)
+		picks, err := a.t.SelectInitial(k)
 		if err != nil {
 			return nil, err
 		}
 		for _, c := range picks {
 			a.lease(c, deadline)
 		}
-		return picks, nil
+		return a.handOut(picks), nil
 	}
 
 	picks := make([]space.Config, 0, k)
 	for len(picks) < k {
-		batch, err := a.t.SelectBatchFiltered(1, leased)
+		batch, err := a.t.SelectBatch(1)
 		if err != nil {
 			// Roll back this call's leases: candidates never handed out
 			// must not stay fantasized or fenced off.
 			for _, c := range picks {
-				a.release(a.t.sp.Key(c))
+				a.release(c)
 			}
 			return nil, err
 		}
@@ -194,7 +202,7 @@ func (a *AskTell) Ask(k int, ttl time.Duration, now time.Time) ([]space.Config, 
 		a.lease(c, deadline)
 		picks = append(picks, c)
 	}
-	return picks, nil
+	return a.handOut(picks), nil
 }
 
 // Renew extends the deadlines of currently leased configurations to
@@ -212,8 +220,8 @@ func (a *AskTell) Renew(configs []space.Config, ttl time.Duration, now time.Time
 		deadline = now.Add(ttl)
 	}
 	for _, c := range configs {
-		key := a.t.sp.Key(c)
-		l, ok := a.leases[key]
+		id := a.t.sp.ID(c)
+		l, ok := a.leases.get(id, c)
 		if !ok {
 			lost = append(lost, c)
 			continue
@@ -221,9 +229,9 @@ func (a *AskTell) Renew(configs []space.Config, ttl time.Duration, now time.Time
 		a.ver++
 		l.Expires = deadline
 		l.ver = a.ver
-		a.leases[key] = l
+		a.leases.set(id, c, l)
 		if !deadline.IsZero() {
-			a.heap.push(leaseEntry{at: deadline, key: key, ver: a.ver})
+			a.heap.push(leaseEntry{at: deadline, id: id, ver: a.ver})
 		}
 		renewed++
 	}
@@ -249,15 +257,15 @@ func (a *AskTell) TellObs(obs Observation) (added bool, err error) {
 	if err := a.t.sp.Check(obs.Config); err != nil {
 		return false, err
 	}
-	key := a.t.sp.Key(obs.Config)
 	if a.t.history.Contains(obs.Config) {
-		a.release(key)
+		a.release(obs.Config)
 		return false, nil
 	}
 	if err := a.t.ObserveObs(obs); err != nil {
 		return false, err
 	}
-	a.release(key)
+	a.release(obs.Config)
+	a.lapsed.remove(obs.Config)
 	return true, nil
 }
 
@@ -266,8 +274,8 @@ func (a *AskTell) TellObs(obs Observation) (added bool, err error) {
 // mismatch) rather than removing it.
 type leaseEntry struct {
 	at  time.Time
-	key string
-	ver uint64
+	id  space.ID
+	ver uint64 // unique per lease and renewal: resolves hashed IDs too
 }
 
 // leaseHeap is a binary min-heap of lease deadlines with lazy
@@ -297,7 +305,6 @@ func (h *leaseHeap) pop() leaseEntry {
 	top := h.e[0]
 	last := len(h.e) - 1
 	h.e[0] = h.e[last]
-	h.e[last] = leaseEntry{} // let the key string go
 	h.e = h.e[:last]
 	i := 0
 	for {

@@ -19,28 +19,19 @@ import (
 // GEIST mixes exploitation with uniform exploration. With k = 1 every
 // acquirer reduces to its single-candidate selection.
 
-// SelectBatch returns up to k distinct, not-yet-evaluated
-// configurations to evaluate next, using the engine's freshly fitted
-// model. It never evaluates the objective. The tuner must have
-// completed its initial sampling phase; call Step (or Run) through
-// the initial phase first.
+// SelectBatch returns up to k distinct configurations that are
+// neither evaluated nor pending, using the engine's freshly fitted
+// model. The fit sees the history's pending overlay (fantasized
+// observations), so a caller that fantasizes each pick before asking
+// for the next gets an internally diverse batch. It never evaluates
+// the objective. The tuner must have completed its initial sampling
+// phase; call Step (or Run) through the initial phase first.
 //
 // The returned slice is a scratch buffer reused by the next
 // acquisition on this tuner (the configurations themselves are
 // stable): consume or copy it before calling SelectBatch, Step, or
 // Ask again.
 func (t *Tuner) SelectBatch(k int) ([]space.Config, error) {
-	return t.SelectBatchFiltered(k, nil)
-}
-
-// SelectBatchFiltered is SelectBatch with an exclusion predicate: skip,
-// when non-nil, removes configurations from acquisition on top of the
-// evaluated set — the lease filter of pending-aware ask/tell. The fit
-// sees the history's pending overlay (fantasized observations), so a
-// caller that fantasizes each pick before asking for the next gets an
-// internally diverse batch. With a nil skip and an empty overlay this
-// is exactly SelectBatch.
-func (t *Tuner) SelectBatchFiltered(k int, skip func(space.Config) bool) ([]space.Config, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: SelectBatch with k < 1")
 	}
@@ -51,9 +42,7 @@ func (t *Tuner) SelectBatchFiltered(k int, skip func(space.Config) bool) ([]spac
 	if err := t.model.Fit(t.history); err != nil {
 		return nil, err
 	}
-	acq := t.acquisition()
-	acq.Skip = skip
-	return t.acquirer.Propose(acq, k)
+	return t.acquirer.Propose(t.acquisition(), k)
 }
 
 // Observe folds an externally evaluated observation into the history,

@@ -50,7 +50,10 @@ type Model interface {
 // proposing candidates. Pool is nil for engines that run without a
 // finite candidate set. Scratch, when non-nil, provides reusable
 // buffers and generation-keyed caches owned by the driving Tuner;
-// acquirers must work (allocating as needed) when it is nil.
+// acquirers must work (allocating as needed) when it is nil. Every
+// acquirer excludes History.Taken configurations — evaluated or
+// pending, the latter being the live leases of pending-aware
+// ask/tell.
 type Acquisition struct {
 	Space              *space.Space
 	Model              Model
@@ -61,17 +64,6 @@ type Acquisition struct {
 	ProposalCandidates int
 	CandidateSamples   int
 	Scratch            *Scratch
-	// Skip, when non-nil, excludes configurations from acquisition on
-	// top of the evaluated set — the lease filter of pending-aware
-	// ask/tell. Every acquirer must honor it; a nil Skip must leave
-	// acquisition bit-identical to the pre-Skip behavior.
-	Skip func(space.Config) bool
-}
-
-// skips reports whether c is excluded by the acquisition's Skip
-// predicate (never excludes when Skip is nil).
-func (a *Acquisition) skips(c space.Config) bool {
-	return a.Skip != nil && a.Skip(c)
 }
 
 // rankedCandidate pairs a pool candidate index with its model score,
@@ -152,9 +144,10 @@ func (a *Acquisition) takePicks(k int) []space.Config {
 	return a.Scratch.picks
 }
 
-// Acquirer proposes up to k not-yet-evaluated candidates from a
-// fitted model. A short (or empty) result means the reachable pool is
-// exhausted; an error means acquisition itself failed.
+// Acquirer proposes up to k candidates that are neither evaluated nor
+// pending (History.Taken) from a fitted model. A short (or empty)
+// result means the reachable pool is exhausted; an error means
+// acquisition itself failed.
 type Acquirer interface {
 	Propose(a *Acquisition, k int) ([]space.Config, error)
 }

@@ -562,14 +562,11 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	// and joint resamples of the per-group top lists — so the polish
 	// ranking sees both local alternatives and cross-group mixes.
 	var cands []space.Config
-	seen := make(map[string]bool)
+	seen := newConfigSet(a.Space, 0)
 	add := func(c space.Config) {
-		key := a.Space.Key(c)
-		if seen[key] {
-			return
+		if seen.add(c) {
+			cands = append(cands, c)
 		}
-		seen[key] = true
-		cands = append(cands, c)
 	}
 	base := make(space.Config, a.Space.NumParams())
 	for _, g := range m.subs {
@@ -629,7 +626,7 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	// a composition), the evaluated set, and leased work.
 	kept := cands[:0]
 	for _, c := range cands {
-		if !a.Space.Valid(c) || a.History.Contains(c) || a.skips(c) {
+		if !a.Space.Valid(c) || a.History.Taken(c) {
 			continue
 		}
 		kept = append(kept, c)
@@ -639,7 +636,7 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 		// uniformly, as the sampling engine does when pg collapses.
 		for try := 0; try < 100000; try++ {
 			c := a.Space.Sample(a.RNG)
-			if !a.History.Contains(c) && !a.skips(c) {
+			if !a.History.Taken(c) {
 				return []space.Config{c}, nil
 			}
 		}

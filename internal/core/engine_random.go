@@ -49,42 +49,15 @@ func (m uniformModel) Sample(r *stats.RNG) space.Config { return m.sp.Sample(r) 
 // Importance is undefined for the uniform model.
 func (uniformModel) Importance() []float64 { return nil }
 
-// randomAcquirer picks unevaluated candidates uniformly at random.
+// randomAcquirer picks candidates that are neither evaluated nor
+// pending uniformly at random.
 type randomAcquirer struct{}
 
 func (randomAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	if a.Pool != nil {
-		rem := a.Pool.Remaining()
-		avail := make([]int, 0, len(rem))
-		for _, idx := range rem {
-			if a.skips(a.Pool.Candidate(idx)) {
-				continue
-			}
-			avail = append(avail, idx)
-		}
-		if k > len(avail) {
-			k = len(avail)
-		}
-		out := make([]space.Config, 0, k)
-		for len(out) < k {
-			pick := a.RNG.Intn(len(avail))
-			out = append(out, a.Pool.Candidate(avail[pick]))
-			avail[pick] = avail[len(avail)-1]
-			avail = avail[:len(avail)-1]
-		}
-		return out, nil
+		return a.Pool.drawFree(a.History, a.RNG, k), nil
 	}
-	const maxTries = 100000
-	var out []space.Config
-	seen := make(map[string]bool, k)
-	for try := 0; try < maxTries && len(out) < k; try++ {
-		c := a.Space.Sample(a.RNG)
-		if a.History.Contains(c) || seen[a.Space.Key(c)] || a.skips(c) {
-			continue
-		}
-		seen[a.Space.Key(c)] = true
-		out = append(out, c)
-	}
+	out := sampleFree(a.Space, a.History, a.RNG, k)
 	if len(out) == 0 {
 		return nil, fmt.Errorf("core: random acquisition could not draw an unevaluated configuration")
 	}

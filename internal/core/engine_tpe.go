@@ -21,6 +21,12 @@ func init() {
 		Name: "ranking",
 		Pool: PoolRequired,
 		New: func(sp *space.Space, opts Options, pool *Pool) (Model, Acquirer, error) {
+			// Ranking scores the whole pool on every model-guided ask:
+			// build its columnar view with the pool, at session set-up,
+			// rather than inside the first ask.
+			if _, err := pool.Batch(); err != nil {
+				return nil, nil, err
+			}
 			return &TPEModel{cfg: opts.Surrogate}, rankingAcquirer{}, nil
 		},
 	})
@@ -200,20 +206,23 @@ func (rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	scores := a.poolScores(batch)
 
 	if k == 1 {
-		// Argmax over the remaining pool net of skips, ties broken by
-		// pool order — exactly the paper's per-iteration selection
-		// (with a nil Skip the scan is the original argmax).
+		// Argmax over the remaining pool net of pending candidates,
+		// ties broken by pool order — exactly the paper's
+		// per-iteration selection. Only a candidate that would beat
+		// the current best is tested for pending, so the scan pays for
+		// the lease filter O(log n) times, not n times.
 		best := -1
-		for i := 0; i < len(rem); i++ {
-			if a.skips(p.Candidate(rem[i])) {
+		for i, idx := range rem {
+			if best >= 0 && !(scores[idx] > scores[rem[best]]) {
 				continue
 			}
-			if best < 0 || scores[rem[i]] > scores[rem[best]] {
-				best = i
+			if a.History.Taken(p.Candidate(idx)) {
+				continue
 			}
+			best = i
 		}
 		if best < 0 {
-			return nil, nil // everything remaining is skipped (leased)
+			return nil, nil // everything remaining is pending (leased)
 		}
 		picks := append(a.takePicks(1), p.Candidate(rem[best]))
 		if a.Scratch != nil {
@@ -238,7 +247,7 @@ func (rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 				break
 			}
 			c := p.Candidate(cand.idx)
-			if a.skips(c) || containsConfig(picks, c) {
+			if a.History.Taken(c) || containsConfig(picks, c) {
 				continue
 			}
 			if minHamming(picks, c) >= minDist {
@@ -262,8 +271,8 @@ func (rankingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 // and the scores both only change when the fantasized history does,
 // and the comparator is a strict total order (the index tiebreak), so
 // both the cache and the on-demand extraction yield the unique
-// ordering a full sort would produce. Skip filtering happens at
-// admission time, so the cached ranking is skip-independent.
+// ordering a full sort would produce. Pending candidates are filtered
+// at admission time.
 func rankRemaining(a *Acquisition, rem []int, scores []float64) *rankedPool {
 	s := a.Scratch
 	if s == nil {
@@ -375,7 +384,7 @@ func proposeOne(a *Acquisition) ([]space.Config, error) {
 	bestScore := math.Inf(-1)
 	for i := 0; i < a.ProposalCandidates; i++ {
 		c := a.Model.Sample(a.RNG)
-		if a.History.Contains(c) || a.skips(c) {
+		if a.History.Taken(c) {
 			continue
 		}
 		if sc := a.Model.Score(c); sc > bestScore {
@@ -388,7 +397,7 @@ func proposeOne(a *Acquisition) ([]space.Config, error) {
 		// back to uniform exploration.
 		for try := 0; try < 100000; try++ {
 			c := a.Space.Sample(a.RNG)
-			if !a.History.Contains(c) && !a.skips(c) {
+			if !a.History.Taken(c) {
 				return []space.Config{c}, nil
 			}
 		}
@@ -405,15 +414,13 @@ func proposeBatch(a *Acquisition, k int) ([]space.Config, error) {
 		score float64
 	}
 	var cands []scored
-	seen := make(map[string]bool)
 	draws := a.ProposalCandidates * k
+	seen := newConfigSet(a.Space, draws)
 	for i := 0; i < draws; i++ {
 		c := a.Model.Sample(a.RNG)
-		key := a.Space.Key(c)
-		if a.History.Contains(c) || seen[key] || a.skips(c) {
+		if a.History.Taken(c) || !seen.add(c) {
 			continue
 		}
-		seen[key] = true
 		cands = append(cands, scored{c: c, score: a.Model.Score(c)})
 	}
 	sort.Slice(cands, func(x, y int) bool { return cands[x].score > cands[y].score })

@@ -50,16 +50,16 @@ type Observation struct {
 type History struct {
 	sp   *space.Space
 	obs  []Observation
-	seen map[string]bool
-	best int    // index of the best observation, -1 when empty
-	gen  uint64 // bumped on every Add; see Generation
+	seen idMap[int32] // configuration → index into obs
+	best int          // index of the best observation, -1 when empty
+	gen  uint64       // bumped on every Add; see Generation
 
 	// Pending-observation overlay (see pending.go): in-flight
 	// configurations fantasized into fits under the constant-liar
 	// policy, keyed separately from the observed set.
 	pend     []pendingEntry
-	pendIdx  map[string]int // key → index into pend
-	pendHash uint64         // order-independent digest; 0 when empty
+	pendIdx  idMap[int32] // configuration → index into pend
+	pendHash uint64       // order-independent digest; 0 when empty
 	liar     LiarPolicy
 
 	fant     *History // cached fantasized view (Fantasized)
@@ -69,7 +69,10 @@ type History struct {
 
 // NewHistory creates an empty history over the given space.
 func NewHistory(sp *space.Space) *History {
-	return &History{sp: sp, seen: make(map[string]bool), best: -1}
+	h := &History{sp: sp, best: -1}
+	h.seen = newIDMap(0, func(i int32) space.Config { return h.obs[i].Config })
+	h.pendIdx = newIDMap(0, func(i int32) space.Config { return h.pend[i].c })
+	return h
 }
 
 // Add appends an observation. Duplicate configurations are rejected
@@ -87,13 +90,13 @@ func (h *History) Add(c space.Config, v float64) error {
 // multi-objective sessions track the best scalarized value (the Pareto
 // front is derived from the stored vectors, not from best).
 func (h *History) AddObs(obs Observation) error {
-	key := h.sp.Key(obs.Config)
-	if h.seen[key] {
+	id := h.sp.ID(obs.Config)
+	if h.seen.has(id, obs.Config) {
 		return fmt.Errorf("core: duplicate observation for %s", h.sp.Describe(obs.Config))
 	}
-	h.seen[key] = true
 	obs.Config = obs.Config.Clone()
 	h.obs = append(h.obs, obs)
+	h.seen.set(id, obs.Config, int32(len(h.obs)-1))
 	if h.best < 0 || obs.Value < h.obs[h.best].Value {
 		h.best = len(h.obs) - 1
 	}
@@ -102,9 +105,9 @@ func (h *History) AddObs(obs Observation) error {
 }
 
 // Grow preallocates room for n further observations: the obs slice
-// capacity and, more importantly, the seen map — growing a string map
-// one insert at a time across 10k resumed observations spends more
-// time rehashing than observing. A no-op for n <= 0.
+// capacity and, more importantly, the seen map — growing a map one
+// insert at a time across 10k resumed observations spends more time
+// rehashing than observing. A no-op for n <= 0.
 func (h *History) Grow(n int) {
 	if n <= 0 {
 		return
@@ -114,11 +117,11 @@ func (h *History) Grow(n int) {
 		copy(grown, h.obs)
 		h.obs = grown
 	}
-	seen := make(map[string]bool, len(h.seen)+n)
-	for k, v := range h.seen {
-		seen[k] = v
+	seen := make(map[space.ID]int32, len(h.seen.m)+n)
+	for id, i := range h.seen.m {
+		seen[id] = i
 	}
-	h.seen = seen
+	h.seen.m = seen
 }
 
 // Generation returns a counter that changes whenever the history
@@ -145,7 +148,16 @@ func (h *History) Observations() []Observation { return h.obs }
 
 // Contains reports whether the configuration has been evaluated.
 func (h *History) Contains(c space.Config) bool {
-	return h.seen[h.sp.Key(c)]
+	return h.seen.has(h.sp.ID(c), c)
+}
+
+// Taken reports whether the configuration is evaluated or pending:
+// the one exclusion every acquirer applies. Under AskTell the pending
+// overlay holds exactly the live leases, so Taken is also the lease
+// filter.
+func (h *History) Taken(c space.Config) bool {
+	id := h.sp.ID(c)
+	return h.seen.has(id, c) || h.pendIdx.has(id, c)
 }
 
 // Best returns the best observation so far. It panics on an empty

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"hash/fnv"
 	"strings"
 
 	"github.com/hpcautotune/hiperbot/internal/space"
@@ -81,17 +80,16 @@ func LiarPolicies() []string { return []string{"min", "mean", "max"} }
 
 // pendingEntry is one in-flight configuration of the overlay.
 type pendingEntry struct {
-	key string
-	c   space.Config
+	id space.ID
+	c  space.Config
 }
 
-// pendingKeyHash hashes one pending key into the order-independent
-// overlay hash. FNV-1a alone XORs poorly over similar keys, so the
-// digest is scrambled through a splitmix64 finalizer.
-func pendingKeyHash(key string) uint64 {
-	h := fnv.New64a()
-	h.Write([]byte(key)) //nolint:errcheck // fnv never errors
-	z := h.Sum64() + 0x9e3779b97f4a7c15
+// pendingIDHash hashes one pending ID into the order-independent
+// overlay hash. Grid indices are small and dense, and XOR over them
+// collides easily, so each is scrambled through a splitmix64
+// finalizer first.
+func pendingIDHash(id space.ID) uint64 {
+	z := uint64(id) + 0x9e3779b97f4a7c15
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
@@ -113,39 +111,31 @@ func (h *History) Liar() LiarPolicy { return h.liar }
 // fantasy observation until it is removed (result reported or lease
 // expired). Already-pending configurations are a no-op.
 func (h *History) AddPending(c space.Config) {
-	key := h.sp.Key(c)
-	if _, ok := h.pendIdx[key]; ok {
+	id := h.sp.ID(c)
+	if h.pendIdx.has(id, c) {
 		return
 	}
-	if h.pendIdx == nil {
-		h.pendIdx = make(map[string]int)
-	}
-	h.pendIdx[key] = len(h.pend)
-	h.pend = append(h.pend, pendingEntry{key: key, c: c.Clone()})
-	h.pendHash ^= pendingKeyHash(key)
+	h.pend = append(h.pend, pendingEntry{id: id, c: c.Clone()})
+	h.pendIdx.set(id, c, int32(len(h.pend)-1))
+	h.pendHash ^= pendingIDHash(id)
 }
 
 // RemovePending drops c from the overlay (no-op when not pending).
 func (h *History) RemovePending(c space.Config) {
-	h.RemovePendingKey(h.sp.Key(c))
-}
-
-// RemovePendingKey is RemovePending by space key — the spelling used
-// by lease bookkeeping, which already tracks keys.
-func (h *History) RemovePendingKey(key string) {
-	i, ok := h.pendIdx[key]
+	id := h.sp.ID(c)
+	i, ok := h.pendIdx.get(id, c)
 	if !ok {
 		return
 	}
-	last := len(h.pend) - 1
+	h.pendIdx.del(id, c)
+	last := int32(len(h.pend) - 1)
 	if i != last {
 		h.pend[i] = h.pend[last]
-		h.pendIdx[h.pend[i].key] = i
+		h.pendIdx.set(h.pend[i].id, h.pend[i].c, i)
 	}
 	h.pend[last] = pendingEntry{}
 	h.pend = h.pend[:last]
-	delete(h.pendIdx, key)
-	h.pendHash ^= pendingKeyHash(key)
+	h.pendHash ^= pendingIDHash(id)
 }
 
 // PendingLen returns the number of in-flight configurations.

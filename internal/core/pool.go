@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"sort"
 
 	"github.com/hpcautotune/hiperbot/internal/space"
+	"github.com/hpcautotune/hiperbot/internal/stats"
 )
 
 // Pool is a finite candidate set with O(1) evaluated-candidate
@@ -11,13 +14,18 @@ import (
 // the state the Ranking strategy used to keep inline in the Tuner,
 // extracted so every pool-backed engine (TPE ranking, random
 // subset, GEIST's graph propagation) shares one implementation.
+//
+// Candidates are found by identity (space.ID). When every candidate's
+// ID is its own index — an enumerated, unconstrained grid — the ID is
+// the candidate index and no lookup map exists at all.
 type Pool struct {
 	sp         *space.Space
 	candidates []space.Config
-	remaining  []int          // candidate indices not yet evaluated
-	pos        map[string]int // candidate key → position in remaining
-	index      map[string]int // candidate key → candidate index (immutable)
-	batch      *space.Batch   // columnar candidates, built on first use
+	remaining  []int        // candidate indices not yet evaluated
+	pos        []int32      // candidate index → position in remaining, -1 once evaluated
+	dense      bool         // candidate i has ID i; index is unused
+	index      idMap[int32] // candidate → candidate index (immutable)
+	batch      *space.Batch // columnar candidates, built on first use
 }
 
 // NewPool indexes the candidate set. Duplicate candidates and empty
@@ -26,21 +34,33 @@ func NewPool(sp *space.Space, candidates []space.Config) (*Pool, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("core: empty candidate set")
 	}
+	if len(candidates) > math.MaxInt32 {
+		return nil, fmt.Errorf("core: %d candidates exceed the pool limit", len(candidates))
+	}
 	p := &Pool{
 		sp:         sp,
 		candidates: candidates,
 		remaining:  make([]int, len(candidates)),
-		pos:        make(map[string]int, len(candidates)),
-		index:      make(map[string]int, len(candidates)),
+		pos:        make([]int32, len(candidates)),
+		dense:      true,
 	}
-	for i := range p.remaining {
+	for i, c := range candidates {
 		p.remaining[i] = i
-		key := sp.Key(candidates[i])
-		if _, dup := p.index[key]; dup {
-			return nil, fmt.Errorf("core: duplicate candidate %s", sp.Describe(candidates[i]))
+		p.pos[i] = int32(i)
+		if p.dense && sp.ID(c) != space.ID(i) {
+			p.dense = false
 		}
-		p.index[key] = i
-		p.pos[key] = i
+	}
+	if p.dense {
+		return p, nil // IDs 0..n-1 are distinct: no duplicates possible
+	}
+	p.index = newIDMap(len(candidates), func(i int32) space.Config { return candidates[i] })
+	for i, c := range candidates {
+		id := sp.ID(c)
+		if p.index.has(id, c) {
+			return nil, fmt.Errorf("core: duplicate candidate %s", sp.Describe(c))
+		}
+		p.index.set(id, c, int32(i))
 	}
 	return p, nil
 }
@@ -67,8 +87,15 @@ func (p *Pool) Candidates() []space.Config { return p.candidates }
 // IndexOf returns c's candidate index, or -1 when c is not in the
 // pool.
 func (p *Pool) IndexOf(c space.Config) int {
-	if i, ok := p.index[p.sp.Key(c)]; ok {
-		return i
+	id := p.sp.ID(c)
+	if p.dense {
+		if id < space.ID(len(p.candidates)) {
+			return int(id)
+		}
+		return -1
+	}
+	if i, ok := p.index.get(id, c); ok {
+		return int(i)
 	}
 	return -1
 }
@@ -76,19 +103,58 @@ func (p *Pool) IndexOf(c space.Config) int {
 // MarkEvaluated removes c from the remaining set in O(1); unknown or
 // already-removed configurations are ignored.
 func (p *Pool) MarkEvaluated(c space.Config) {
-	key := p.sp.Key(c)
-	i, ok := p.pos[key]
-	if !ok {
+	ci := p.IndexOf(c)
+	if ci < 0 || p.pos[ci] < 0 {
 		return
 	}
+	i := p.pos[ci]
 	last := len(p.remaining) - 1
 	moved := p.remaining[last]
 	p.remaining[i] = moved
+	p.pos[moved] = i
 	p.remaining = p.remaining[:last]
-	delete(p.pos, key)
-	if i <= last-1 {
-		p.pos[p.sp.Key(p.candidates[moved])] = i
+	p.pos[ci] = -1
+}
+
+// drawFree returns up to k distinct remaining candidates that are not
+// pending in h, drawn uniformly with r. It makes exactly the r.Intn
+// calls of a Fisher–Yates pass over a copy of Remaining() with the
+// pending candidates filtered out, without making that copy: the few
+// pending positions are stepped past, and the swaps are recorded
+// sparsely.
+func (p *Pool) drawFree(h *History, r *stats.RNG, k int) []space.Config {
+	var skip []int // ascending positions in remaining of pending candidates
+	for _, pe := range h.pend {
+		if ci := p.IndexOf(pe.c); ci >= 0 && p.pos[ci] >= 0 {
+			skip = append(skip, int(p.pos[ci]))
+		}
 	}
+	sort.Ints(skip)
+	n := len(p.remaining) - len(skip)
+	if k > n {
+		k = n
+	}
+	swapped := make(map[int]int) // virtual position → candidate index
+	at := func(j int) int {
+		if ci, ok := swapped[j]; ok {
+			return ci
+		}
+		for _, s := range skip {
+			if s > j {
+				break
+			}
+			j++
+		}
+		return p.remaining[j]
+	}
+	out := make([]space.Config, 0, k)
+	for len(out) < k {
+		pick := r.Intn(n)
+		out = append(out, p.candidates[at(pick)])
+		n--
+		swapped[pick] = at(n)
+	}
+	return out
 }
 
 // Batch returns the columnar view of the full candidate set, building

@@ -125,17 +125,12 @@ func (s *SampledPool) draw(exclude func(space.Config) bool) ([]space.Config, err
 		maxTries = 1 << 20
 	}
 	out := make([]space.Config, 0, s.cap)
-	seen := make(map[string]bool, s.cap)
+	seen := newConfigSet(s.sp, s.cap)
 	for tries := 0; tries < maxTries && len(out) < s.cap; tries++ {
 		c := s.sp.FromGridIndex64(randGridIndex(s.rng, grid, ok))
-		if !s.sp.Valid(c) {
+		if !s.sp.Valid(c) || (exclude != nil && exclude(c)) || !seen.add(c) {
 			continue
 		}
-		key := s.sp.Key(c)
-		if seen[key] || (exclude != nil && exclude(c)) {
-			continue
-		}
-		seen[key] = true
 		out = append(out, c)
 	}
 	if len(out) < 2 {
@@ -195,14 +190,12 @@ func (samplingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 		draws *= k
 	}
 	cands := make([]space.Config, 0, draws)
-	seen := make(map[string]bool, draws)
+	seen := newConfigSet(a.Space, draws)
 	for i := 0; i < draws; i++ {
 		c := a.Model.Sample(a.RNG)
-		key := a.Space.Key(c)
-		if seen[key] || a.History.Contains(c) || a.skips(c) {
+		if a.History.Taken(c) || !seen.add(c) {
 			continue
 		}
-		seen[key] = true
 		cands = append(cands, c)
 	}
 	if len(cands) == 0 {
@@ -210,7 +203,7 @@ func (samplingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 		// density has collapsed onto known points. Explore uniformly.
 		for try := 0; try < 100000; try++ {
 			c := a.Space.Sample(a.RNG)
-			if !a.History.Contains(c) && !a.skips(c) {
+			if !a.History.Taken(c) {
 				return []space.Config{c}, nil
 			}
 		}

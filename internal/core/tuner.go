@@ -322,27 +322,18 @@ func (t *Tuner) acquisition() *Acquisition {
 // random samples while H is smaller than InitialSamples, afterwards
 // one model-guided selection. It returns the new observation.
 func (t *Tuner) Step() (Observation, error) {
-	var c space.Config
-	switch {
-	case t.history.Len() < t.opts.InitialSamples:
-		var err error
-		c, err = t.sampleInitial()
-		if err != nil {
-			return Observation{}, err
-		}
-	default:
-		if err := t.model.Fit(t.history); err != nil {
-			return Observation{}, err
-		}
-		picks, err := t.acquirer.Propose(t.acquisition(), 1)
-		if err != nil {
-			return Observation{}, err
-		}
-		if len(picks) == 0 {
-			return Observation{}, fmt.Errorf("core: no unevaluated candidates remain")
-		}
-		c = picks[0]
+	selectOne := t.SelectBatch
+	if t.history.Len() < t.opts.InitialSamples {
+		selectOne = t.SelectInitial
 	}
+	picks, err := selectOne(1)
+	if err != nil {
+		return Observation{}, err
+	}
+	if len(picks) == 0 {
+		return Observation{}, fmt.Errorf("core: no unevaluated candidates remain")
+	}
+	c := picks[0]
 	obs := Observation{Config: c, Value: t.obj(c)}
 	if t.opts.VectorObjective != nil {
 		obs.Objectives = t.opts.VectorObjective(c)
@@ -414,71 +405,37 @@ func (t *Tuner) RunUntilStall(maxBudget, stallLimit int, tol float64) (Observati
 	return t.history.Best(), nil
 }
 
-// sampleInitial draws a uniformly random configuration that has not
-// been evaluated yet.
-func (t *Tuner) sampleInitial() (space.Config, error) {
-	if t.pool != nil {
-		if t.pool.RemainingCount() == 0 {
-			return nil, fmt.Errorf("core: candidate pool exhausted during initialization")
-		}
-		rem := t.pool.Remaining()
-		pick := t.rng.Intn(len(rem))
-		return t.pool.Candidate(rem[pick]), nil
-	}
-	const maxTries = 100000
-	for try := 0; try < maxTries; try++ {
-		c := t.sp.Sample(t.rng)
-		if !t.history.Contains(c) {
-			return c, nil
-		}
-	}
-	return nil, fmt.Errorf("core: could not draw an unevaluated initial sample")
-}
-
-// SelectInitial returns up to k distinct not-yet-evaluated
-// configurations drawn uniformly at random, without evaluating them —
-// the ask/tell counterpart of the initial sampling phase, for callers
-// (e.g. AskTell) that hand candidates to external workers. skip, when
-// non-nil, excludes further configurations (such as currently leased
-// ones). A short result means the pool net of skips has fewer than k
-// configurations left.
-func (t *Tuner) SelectInitial(k int, skip func(space.Config) bool) ([]space.Config, error) {
+// SelectInitial returns up to k distinct configurations that are
+// neither evaluated nor pending, drawn uniformly at random, without
+// evaluating them — the ask/tell counterpart of the initial sampling
+// phase, for callers (e.g. AskTell) that hand candidates to external
+// workers. A short result means fewer than k such configurations are
+// left.
+func (t *Tuner) SelectInitial(k int) ([]space.Config, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("core: SelectInitial with k < 1")
 	}
 	if t.pool != nil {
-		rem := t.pool.Remaining()
-		avail := make([]int, 0, len(rem))
-		for _, idx := range rem {
-			if skip == nil || !skip(t.pool.Candidate(idx)) {
-				avail = append(avail, idx)
-			}
-		}
-		if k > len(avail) {
-			k = len(avail)
-		}
-		out := make([]space.Config, 0, k)
-		for len(out) < k {
-			pick := t.rng.Intn(len(avail))
-			out = append(out, t.pool.Candidate(avail[pick]))
-			avail[pick] = avail[len(avail)-1]
-			avail = avail[:len(avail)-1]
-		}
-		return out, nil
+		return t.pool.drawFree(t.history, t.rng, k), nil
 	}
+	return sampleFree(t.sp, t.history, t.rng, k), nil
+}
+
+// sampleFree draws up to k distinct configurations from the space
+// that are neither evaluated nor pending, giving up after a fixed
+// number of draws.
+func sampleFree(sp *space.Space, h *History, r *stats.RNG, k int) []space.Config {
 	const maxTries = 100000
 	var out []space.Config
-	seen := make(map[string]bool, k)
+	seen := newConfigSet(sp, k)
 	for try := 0; try < maxTries && len(out) < k; try++ {
-		c := t.sp.Sample(t.rng)
-		key := t.sp.Key(c)
-		if t.history.Contains(c) || seen[key] || (skip != nil && skip(c)) {
+		c := sp.Sample(r)
+		if h.Taken(c) || !seen.add(c) {
 			continue
 		}
-		seen[key] = true
 		out = append(out, c)
 	}
-	return out, nil
+	return out
 }
 
 // markEvaluated removes c from the candidate pool in O(1).

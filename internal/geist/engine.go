@@ -170,8 +170,9 @@ func (q *geistAcquirer) Propose(a *core.Acquisition, k int) ([]space.Config, err
 	}
 	n := p.Size()
 	uneval := make([]bool, n)
+	pending := a.History.PendingLen() > 0 // Remaining() already excludes evaluated
 	for _, idx := range p.Remaining() {
-		if a.Skip != nil && a.Skip(p.Candidate(idx)) {
+		if pending && a.History.Taken(p.Candidate(idx)) {
 			continue // leased out by pending-aware ask/tell
 		}
 		uneval[idx] = true

@@ -40,50 +40,6 @@ func FuzzSpaceFromJSON(f *testing.F) {
 	})
 }
 
-// FuzzGridIndexRoundTrip: for any discrete space shape and any index
-// inside the grid, FromGridIndex64 → GridIndex must be the identity,
-// and the decode must agree with the streaming walk at that index.
-func FuzzGridIndexRoundTrip(f *testing.F) {
-	f.Add(uint8(3), uint8(4), uint8(2), uint64(5))
-	f.Add(uint8(1), uint8(1), uint8(1), uint64(0))
-	f.Add(uint8(6), uint8(5), uint8(9), uint64(123))
-	f.Fuzz(func(t *testing.T, ca, cb, cc uint8, idx uint64) {
-		cards := []int{int(ca%16) + 1, int(cb%16) + 1, int(cc%16) + 1}
-		params := make([]Param, len(cards))
-		for i, card := range cards {
-			levels := make([]int, card)
-			for l := range levels {
-				levels[l] = l
-			}
-			params[i] = DiscreteInts(string(rune('a'+i)), levels...)
-		}
-		sp := New(params...)
-		grid, ok := sp.GridSize64()
-		if !ok || grid == 0 {
-			t.Fatalf("grid %d ok=%v for cards %v", grid, ok, cards)
-		}
-		idx %= grid
-		c := sp.FromGridIndex64(idx)
-		if err := sp.Check(c); err != nil {
-			t.Fatalf("FromGridIndex64(%d) invalid: %v", idx, err)
-		}
-		if got := uint64(sp.GridIndex(c)); got != idx {
-			t.Fatalf("round trip %d → %v → %d", idx, c, got)
-		}
-		seen := false
-		sp.EachRange(idx, idx+1, func(at uint64, walked Config) bool {
-			seen = true
-			if at != idx || !walked.Equal(c) {
-				t.Fatalf("EachRange at %d yields %v, FromGridIndex64 says %v", at, walked, c)
-			}
-			return true
-		})
-		if !seen {
-			t.Fatalf("EachRange skipped unconstrained index %d", idx)
-		}
-	})
-}
-
 func containsSubstring(s, sub string) bool {
 	for i := 0; i+len(sub) <= len(s); i++ {
 		if s[i:i+len(sub)] == sub {

@@ -205,6 +205,66 @@ func (s *Space) GridIndex(c Config) int {
 	return idx
 }
 
+// ID is a configuration's integer identity within its Space. On a
+// fully discrete space whose grid is indexable (GridSize64 ok) the ID
+// of every structurally valid configuration is its mixed-radix grid
+// index, equal to GridIndex: dense and injective. Everywhere else —
+// continuous parameters, oversized grids, out-of-range levels — it is
+// a 63-bit hash of the values with the top bit set, so a hashed ID
+// never equals a grid index. Distinct configurations can share a
+// hashed ID; code keyed by one must confirm a hit by comparing
+// configurations (see Hashed).
+type ID uint64
+
+// hashedBit marks hashed IDs. Grid indices stay below maxGridSize, so
+// they never have it set.
+const hashedBit = ID(1) << 63
+
+// Hashed reports whether id is a hash rather than a grid index. Only
+// hashed IDs can be shared by distinct configurations.
+func (id ID) Hashed() bool { return id&hashedBit != 0 }
+
+// ID returns c's identity. It never panics and never allocates. On
+// structurally valid configurations two IDs are equal exactly when
+// the Keys are, except that distinct configurations may share a
+// hashed ID.
+func (s *Space) ID(c Config) ID {
+	if s.gridOK && len(c) == len(s.cards) {
+		var idx uint64
+		for i, k := range s.cards {
+			v := c[i]
+			if !(v >= 0 && v < float64(k)) || v != math.Trunc(v) {
+				return s.hashID(c)
+			}
+			idx = idx*uint64(k) + uint64(v)
+		}
+		return ID(idx)
+	}
+	return s.hashID(c)
+}
+
+// hashID hashes the value bits through splitmix64 rounds. A discrete
+// level of -0 hashes as 0, matching Key; continuous values keep their
+// sign bit, as Key does.
+func (s *Space) hashID(c Config) ID {
+	h := uint64(len(c))
+	for i, v := range c {
+		if v == 0 && i < len(s.params) && s.params[i].Kind == DiscreteKind {
+			v = 0
+		}
+		h = mix64(h + math.Float64bits(v))
+	}
+	return ID(h) | hashedBit
+}
+
+// mix64 is the splitmix64 finalizer, a bijective 64-bit scrambler.
+func mix64(z uint64) uint64 {
+	z += 0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
 // FromGridIndex decodes a mixed-radix grid index into a configuration.
 func (s *Space) FromGridIndex(idx int) Config {
 	if idx < 0 {
