@@ -58,8 +58,10 @@ import (
 	"github.com/hpcautotune/hiperbot/internal/apps/service"
 	"github.com/hpcautotune/hiperbot/internal/core"
 	"github.com/hpcautotune/hiperbot/internal/dataset"
+	"github.com/hpcautotune/hiperbot/internal/httpapi"
 	"github.com/hpcautotune/hiperbot/internal/objective"
 	"github.com/hpcautotune/hiperbot/internal/report"
+	"github.com/hpcautotune/hiperbot/internal/server"
 	"github.com/hpcautotune/hiperbot/internal/space"
 
 	// Registers the "geist" and "gp" engines so -strategy geist/gp
@@ -89,19 +91,21 @@ func appMetrics(name string) func(space.Config) map[string]float64 {
 	return nil
 }
 
+// sessionFlags are the session options hiperbot takes on its command
+// line, bound through httpapi.BindFlags and resolved by
+// server.ResolveOptions exactly as the daemon resolves a create.
+var sessionFlags = []string{"objectives", "init", "quantile", "strategy", "pool-cap", "candidate-samples", "groups", "seed"}
+
+// defaultOptions are hiperbot's flag defaults: the paper's setup.
+var defaultOptions = httpapi.SessionOptions{InitialSamples: 20, Quantile: 0.20, Seed: 1}
+
 func main() {
+	opts := defaultOptions
+	httpapi.BindFlags(flag.CommandLine, &opts, sessionFlags...)
 	var (
 		csvPath    = flag.String("csv", "", "CSV file of measurements to tune over")
 		appName    = flag.String("app", "", "built-in app model (kripke-exec, kripke-energy, hypre, lulesh, openatom, service, huge, compile40)")
-		objectives = flag.String("objectives", "", "comma-separated objective specs for multi-objective tuning (e.g. p95_latency_ms,cost; needs a multi-metric app like service)")
 		budget     = flag.Int("budget", 150, "total objective evaluations (including initial samples)")
-		initial    = flag.Int("init", 20, "initial random samples")
-		quantile   = flag.Float64("quantile", 0.20, "good/bad split quantile α")
-		strategy   = flag.String("strategy", "", "selection engine: "+strings.Join(core.EngineNames(), ", ")+" (default: paper choice)")
-		poolCap    = flag.Int("pool-cap", 0, "sampled candidate pool size on spaces too large to enumerate (0 = default, <0 = disable large-space mode)")
-		candSamp   = flag.Int("candidate-samples", 0, "good-density draws per step of the pool-free sampling engine (0 = default)")
-		groupsSpec = flag.String("groups", "", "parameter grouping for the grouped engine, \"a,b;c,d\" (empty = auto-propose from importance)")
-		seed       = flag.Uint64("seed", 1, "random seed")
 		importance = flag.Bool("importance", false, "print the parameter-importance ranking")
 		trace      = flag.Bool("trace", false, "print every evaluation")
 		checkpoint = flag.String("checkpoint", "", "write the evaluation history to this CSV when done")
@@ -110,18 +114,12 @@ func main() {
 	)
 	flag.Parse()
 
-	if app, ok := analyticApps()[*appName]; ok {
-		tuneAnalytic(app, analyticOptions{
-			budget: *budget, initial: *initial, quantile: *quantile,
-			strategy: *strategy, poolCap: *poolCap, candidateSamples: *candSamp,
-			groups: core.ParseGroups(*groupsSpec),
-			seed:   *seed, importance: *importance, trace: *trace,
-		})
+	if len(opts.Objectives) > 0 {
+		tuneMulti(*appName, opts, *budget, *trace)
 		return
 	}
-
-	if *objectives != "" {
-		tuneMulti(*appName, *objectives, *budget, *initial, *strategy, *seed, *trace)
+	if app, ok := analyticApps()[*appName]; ok {
+		tuneAnalytic(app, opts, *budget, *importance, *trace)
 		return
 	}
 
@@ -135,9 +133,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	candidates := make([]space.Config, tbl.Len())
-	for i := range candidates {
-		candidates[i] = tbl.Config(i)
+	tunerOpts, _, err := tableOptions(tbl, opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hiperbot:", err)
+		os.Exit(1)
 	}
 	var onStep func(int, core.Observation)
 	if *trace {
@@ -162,15 +161,8 @@ func main() {
 			}
 		}
 	}
-	tn, err := core.NewTuner(tbl.Space, tbl.Objective(), core.Options{
-		InitialSamples: *initial,
-		Engine:         *strategy,
-		Surrogate:      core.SurrogateConfig{Quantile: *quantile},
-		Seed:           *seed,
-		Candidates:     candidates,
-		PoolCap:        *poolCap,
-		OnStep:         onStep,
-	})
+	tunerOpts.OnStep = onStep
+	tn, err := core.NewTuner(tbl.Space, tbl.Objective(), tunerOpts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hiperbot:", err)
 		os.Exit(1)
@@ -212,6 +204,20 @@ func main() {
 		}
 		printImportance(tbl.Space, imp)
 	}
+}
+
+// tableOptions resolves the session options against a measurement
+// table's space and restricts the candidates to the table's rows.
+func tableOptions(tbl *dataset.Table, opts httpapi.SessionOptions) (core.Options, objective.Set, error) {
+	tunerOpts, set, err := server.ResolveOptions(tbl.Space, opts)
+	if err != nil {
+		return core.Options{}, objective.Set{}, err
+	}
+	tunerOpts.Candidates = make([]space.Config, tbl.Len())
+	for i := range tunerOpts.Candidates {
+		tunerOpts.Candidates[i] = tbl.Config(i)
+	}
+	return tunerOpts, set, nil
 }
 
 func loadTable(csvPath, appName string) (*dataset.Table, error) {
@@ -308,28 +314,19 @@ func printImportance(sp *space.Space, imp []float64) {
 
 // tuneMulti runs multi-objective tuning on an app that exposes a
 // multi-metric observation, printing the Pareto front instead of a
-// single best configuration. The default engine is motpe.
-func tuneMulti(appName, specs string, budget, initial int, strategy string, seed uint64, trace bool) {
+// single best configuration. Two or more objectives default the
+// engine to motpe.
+func tuneMulti(appName string, opts httpapi.SessionOptions, budget int, trace bool) {
 	metrics := appMetrics(appName)
 	if metrics == nil {
 		fmt.Fprintf(os.Stderr, "hiperbot: -objectives needs a multi-metric app (service), got %q\n", appName)
 		os.Exit(1)
 	}
-	var names []string
-	for _, s := range strings.Split(specs, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			names = append(names, s)
-		}
-	}
-	set, err := objective.ParseSet(names)
+	tbl := builtinModels()[appName].Table()
+	tunerOpts, set, err := tableOptions(tbl, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hiperbot:", err)
 		os.Exit(1)
-	}
-	tbl := builtinModels()[appName].Table()
-	candidates := make([]space.Config, tbl.Len())
-	for i := range candidates {
-		candidates[i] = tbl.Config(i)
 	}
 	vector := func(c space.Config) []float64 {
 		vec, err := set.Vector(0, metrics(c))
@@ -339,25 +336,15 @@ func tuneMulti(appName, specs string, budget, initial int, strategy string, seed
 		}
 		return vec
 	}
-	var onStep func(int, core.Observation)
 	if trace {
-		onStep = func(i int, o core.Observation) {
+		tunerOpts.OnStep = func(i int, o core.Observation) {
 			fmt.Printf("%4d  %-70s %v\n", i+1, tbl.Space.Describe(o.Config), vector(o.Config))
 		}
 	}
-	if strategy == "" {
-		strategy = "motpe"
-	}
+	tunerOpts.VectorObjective = vector
 	tn, err := core.NewTuner(tbl.Space, func(c space.Config) float64 {
 		return set.Scalarize(vector(c))
-	}, core.Options{
-		InitialSamples:  initial,
-		Engine:          strategy,
-		Seed:            seed,
-		Candidates:      candidates,
-		VectorObjective: vector,
-		OnStep:          onStep,
-	})
+	}, tunerOpts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hiperbot:", err)
 		os.Exit(1)
@@ -368,7 +355,7 @@ func tuneMulti(appName, specs string, budget, initial int, strategy string, seed
 	}
 
 	report.Section(os.Stdout, "Tuning %s for {%s} (%d configurations, %s engine)",
-		appName, strings.Join(names, ", "), tbl.Len(), tn.EngineName())
+		appName, strings.Join(opts.Objectives, ", "), tbl.Len(), tn.EngineName())
 	fmt.Printf("evaluations: %d\n\n", tn.Evaluations())
 	h := tn.History()
 	vecs := objective.HistoryVectors(h, nil)
@@ -376,7 +363,7 @@ func tuneMulti(appName, specs string, budget, initial int, strategy string, seed
 	front := objective.FrontIndices(vecs)
 	out := report.Table{
 		Title:   fmt.Sprintf("Pareto front (%d points)", len(front)),
-		Columns: append([]string{"configuration"}, names...),
+		Columns: append([]string{"configuration"}, opts.Objectives...),
 	}
 	sort.Slice(front, func(a, b int) bool { return vecs[front[a]][0] < vecs[front[b]][0] })
 	for _, i := range front {
@@ -406,44 +393,28 @@ func analyticApps() map[string]analyticApp {
 	}
 }
 
-// analyticOptions carries the flag subset the analytic apps understand.
-type analyticOptions struct {
-	budget, initial           int
-	quantile                  float64
-	strategy                  string
-	poolCap, candidateSamples int
-	groups                    [][]string
-	seed                      uint64
-	importance, trace         bool
-}
-
 // tuneAnalytic drives a large-space app directly against its analytic
 // objective: the grid is never materialized, so memory stays bounded
 // by the pool cap (or by CandidateSamples for the pool-free sampling
 // engine, or by the per-group enumerations of the grouped engine).
-func tuneAnalytic(app analyticApp, o analyticOptions) {
+func tuneAnalytic(app analyticApp, opts httpapi.SessionOptions, budget int, importance, trace bool) {
 	sp := app.sp
-	var onStep func(int, core.Observation)
-	if o.trace {
-		onStep = func(i int, obs core.Observation) {
-			fmt.Printf("%4d  %-90s %.6g\n", i+1, sp.Describe(obs.Config), obs.Value)
-		}
-	}
-	tn, err := core.NewTuner(sp, app.eval, core.Options{
-		InitialSamples:   o.initial,
-		Engine:           o.strategy,
-		Surrogate:        core.SurrogateConfig{Quantile: o.quantile},
-		Seed:             o.seed,
-		PoolCap:          o.poolCap,
-		CandidateSamples: o.candidateSamples,
-		Groups:           o.groups,
-		OnStep:           onStep,
-	})
+	tunerOpts, _, err := server.ResolveOptions(sp, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hiperbot:", err)
 		os.Exit(1)
 	}
-	best, err := tn.Run(o.budget)
+	if trace {
+		tunerOpts.OnStep = func(i int, obs core.Observation) {
+			fmt.Printf("%4d  %-90s %.6g\n", i+1, sp.Describe(obs.Config), obs.Value)
+		}
+	}
+	tn, err := core.NewTuner(sp, app.eval, tunerOpts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "hiperbot:", err)
+		os.Exit(1)
+	}
+	best, err := tn.Run(budget)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "hiperbot:", err)
 		os.Exit(1)
@@ -465,7 +436,7 @@ func tuneAnalytic(app analyticApp, o analyticOptions) {
 		}
 	}
 	fmt.Printf("best found:  %.6g\n  %s\n", best.Value, sp.Describe(best.Config))
-	if o.importance {
+	if importance {
 		imp, err := tn.Importance()
 		if err != nil || imp == nil {
 			fmt.Fprintln(os.Stderr, "hiperbot: the", tn.EngineName(), "engine produced no importance scores")

@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"github.com/hpcautotune/hiperbot/internal/core"
+	"github.com/hpcautotune/hiperbot/internal/httpapi"
 	"github.com/hpcautotune/hiperbot/internal/server"
 
 	// Engines register themselves with the core registry; the blank
@@ -38,7 +39,14 @@ import (
 	_ "github.com/hpcautotune/hiperbot/internal/gp"
 )
 
+// defaultFlags are the session options hiperbotd takes as store
+// defaults: applied to every create that leaves them unset, and
+// validated when the store opens.
+var defaultFlags = []string{"pool-cap", "objectives", "liar"}
+
 func main() {
+	var defaults httpapi.SessionOptions
+	httpapi.BindFlags(flag.CommandLine, &defaults, defaultFlags...)
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		data       = flag.String("data", "./hiperbotd-data", "session journal directory (empty = in-memory only)")
@@ -48,9 +56,6 @@ func main() {
 		fsync      = flag.String("fsync", "interval", "journal fsync policy: never (leave it to the OS), interval (sync once per flush tick), always (sync every append)")
 		flushEvery = flag.Duration("flush-interval", 100*time.Millisecond, "group-commit period for buffered journal appends")
 		flushBytes = flag.Int("flush-bytes", 64<<10, "buffered journal bytes that force a flush before the next tick (0 = write every append through immediately)")
-		poolCap    = flag.Int("pool-cap", 0, "default sampled-pool size for sessions on spaces too large to enumerate (0 = built-in default; sessions may override per create)")
-		objectives = flag.String("objectives", "", "default objective specs for sessions created without any, comma-separated (e.g. \"p95_latency_ms,cost\"; two or more default the strategy to motpe)")
-		liar       = flag.String("liar", "", "default constant-liar policy for leased candidates: min, mean, or max (empty = mean; sessions may override per create)")
 		snapEvents = flag.Int("snapshot-events", 4096, "compact a session's journal to a snapshot + tail once the tail holds this many events (0 = no event trigger)")
 		snapBytes  = flag.Int("snapshot-bytes", 4<<20, "compact once a session's journal reaches this many bytes (0 = no byte trigger; both triggers 0 = journals grow forever)")
 		maxLive    = flag.Int("max-live-sessions", 0, "keep at most this many sessions hydrated in memory, compacting the least-recently-used ones to their snapshots and rehydrating on demand (0 = unlimited)")
@@ -68,22 +73,13 @@ func main() {
 	if err != nil {
 		logger.Fatalf("hiperbotd: %v", err)
 	}
-	if _, err := core.ParseLiarPolicy(*liar); err != nil {
-		logger.Fatalf("hiperbotd: %v", err)
-	}
-	var defaultObjectives []string
-	for _, s := range strings.Split(*objectives, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			defaultObjectives = append(defaultObjectives, s)
-		}
-	}
 	store, err := server.OpenStoreWithConfig(*data, server.StoreConfig{
 		Fsync:             policy,
 		FlushInterval:     *flushEvery,
 		FlushBytes:        *flushBytes,
-		DefaultPoolCap:    *poolCap,
-		DefaultObjectives: defaultObjectives,
-		DefaultLiar:       *liar,
+		DefaultPoolCap:    defaults.PoolCap,
+		DefaultObjectives: defaults.Objectives,
+		DefaultLiar:       defaults.Liar,
 		SnapshotEvents:    *snapEvents,
 		SnapshotBytes:     *snapBytes,
 		MaxLiveSessions:   *maxLive,

@@ -29,14 +29,16 @@ import (
 
 	"github.com/hpcautotune/hiperbot/client"
 	"github.com/hpcautotune/hiperbot/internal/core"
+	"github.com/hpcautotune/hiperbot/internal/httpapi"
 	"github.com/hpcautotune/hiperbot/internal/report"
+	"github.com/hpcautotune/hiperbot/internal/server"
 	"github.com/hpcautotune/hiperbot/internal/space"
 
-	// Registers the "geist", "gp", and "motpe" engines so -strategy
-	// lists them on the finite kernel spaces.
+	// Registers the "geist" and "gp" engines so -strategy accepts them
+	// on the finite kernel spaces ("motpe" rides in with the server
+	// import above).
 	_ "github.com/hpcautotune/hiperbot/internal/geist"
 	_ "github.com/hpcautotune/hiperbot/internal/gp"
-	_ "github.com/hpcautotune/hiperbot/internal/objective"
 	"github.com/hpcautotune/hiperbot/miniapps/amg"
 	"github.com/hpcautotune/hiperbot/miniapps/chares"
 	"github.com/hpcautotune/hiperbot/miniapps/hydro"
@@ -152,21 +154,24 @@ func kernels() map[string]kernel {
 	}
 }
 
+// sessionFlags are the session options livetune takes on its command
+// line; -objectives and -liar only apply with -server. In-process runs
+// resolve them with server.ResolveOptions, as the daemon does.
+var sessionFlags = []string{"seed", "strategy", "objectives", "pool-cap", "candidate-samples", "liar", "groups"}
+
+// defaultOptions are livetune's flag defaults.
+var defaultOptions = httpapi.SessionOptions{Seed: 1}
+
 func main() {
+	opts := defaultOptions
+	httpapi.BindFlags(flag.CommandLine, &opts, sessionFlags...)
 	var (
 		name      = flag.String("kernel", "sweep", "kernel to tune: sweep, sweep3d, amg, hydro, chares")
 		budget    = flag.Int("budget", 48, "total measured configurations")
 		reps      = flag.Int("reps", 3, "measurements per configuration (median taken)")
-		seed      = flag.Uint64("seed", 1, "random seed")
 		marginals = flag.Bool("marginals", false, "print the surrogate's per-parameter beliefs")
-		strategy  = flag.String("strategy", "", "selection engine: "+strings.Join(core.EngineNames(), ", ")+" (default: paper choice)")
 		serverURL = flag.String("server", "", "hiperbotd base URL; tune through the daemon instead of in-process")
-		objSpecs  = flag.String("objectives", "", "comma-separated objective specs for a multi-objective session (with -server; e.g. p95_latency_ms,cost) — p95 is the worst rep, cost is worker-seconds")
 		batch     = flag.Int("batch", 4, "candidates leased per suggest call (with -server)")
-		poolCap   = flag.Int("pool-cap", 0, "sampled candidate pool size on spaces too large to enumerate (0 = default, <0 = disable large-space mode)")
-		candSamp  = flag.Int("candidate-samples", 0, "good-density draws per step of the pool-free sampling engine (0 = default)")
-		liar      = flag.String("liar", "", "constant-liar policy for leased candidates: min, mean, or max (with -server; empty = server default)")
-		groups    = flag.String("groups", "", "parameter grouping for the grouped strategy, \"a,b;c,d\" (empty = auto-propose)")
 	)
 	flag.Parse()
 
@@ -197,27 +202,25 @@ func main() {
 	}
 
 	if *serverURL != "" {
-		objectives := splitSpecs(*objSpecs)
-		tuneRemote(*serverURL, *name, k, measureSorted, *budget, *batch, client.SessionOptions{
-			Seed: *seed, Strategy: *strategy, PoolCap: *poolCap, CandidateSamples: *candSamp,
-			Objectives: objectives, Liar: *liar, Groups: core.ParseGroups(*groups),
-		}, &evals, *marginals)
+		tuneRemote(*serverURL, *name, k, measureSorted, *budget, *batch, opts, &evals, *marginals)
 		return
 	}
-	if *objSpecs != "" {
+	if len(opts.Objectives) > 0 {
 		fmt.Fprintln(os.Stderr, "livetune: -objectives needs -server (the daemon owns multi-objective sessions)")
 		os.Exit(1)
 	}
-	if *liar != "" {
+	if opts.Liar != "" {
 		fmt.Fprintln(os.Stderr, "livetune: -liar needs -server (in-process runs evaluate serially, with no leases to fantasize)")
 		os.Exit(1)
 	}
 
+	tunerOpts, _, err := server.ResolveOptions(k.space, opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "livetune:", err)
+		os.Exit(1)
+	}
 	start := time.Now()
-	tn, err := core.NewTuner(k.space, objective, core.Options{
-		Seed: *seed, Engine: *strategy, PoolCap: *poolCap, CandidateSamples: *candSamp,
-		Groups: core.ParseGroups(*groups),
-	})
+	tn, err := core.NewTuner(k.space, objective, tunerOpts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "livetune:", err)
 		os.Exit(1)
@@ -243,17 +246,6 @@ func main() {
 			fmt.Printf("\n(the %s engine has no per-parameter marginals)\n", tn.EngineName())
 		}
 	}
-}
-
-// splitSpecs parses a comma-separated -objectives value.
-func splitSpecs(s string) []string {
-	var out []string
-	for _, part := range strings.Split(s, ",") {
-		if part = strings.TrimSpace(part); part != "" {
-			out = append(out, part)
-		}
-	}
-	return out
 }
 
 // kernelMetrics builds the multi-metric observation for one measured

@@ -1,0 +1,38 @@
+package main
+
+import (
+	"flag"
+	"reflect"
+	"testing"
+
+	"github.com/hpcautotune/hiperbot/internal/httpapi"
+)
+
+// TestSessionFlags pins the options each argv yields: the values the
+// hand-written flag parsing produced before the flags were bound
+// through httpapi.BindFlags.
+func TestSessionFlags(t *testing.T) {
+	cases := []struct {
+		argv []string
+		want httpapi.SessionOptions
+	}{
+		{nil, httpapi.SessionOptions{Seed: 1}},
+		{
+			[]string{"-seed", "5", "-strategy", "grouped", "-objectives", "p95_latency_ms,cost", "-pool-cap", "-1",
+				"-candidate-samples", "256", "-liar", "max", "-groups", "tile,unroll;alloc"},
+			httpapi.SessionOptions{Seed: 5, Strategy: "grouped", Objectives: []string{"p95_latency_ms", "cost"},
+				PoolCap: -1, CandidateSamples: 256, Liar: "max", Groups: [][]string{{"tile", "unroll"}, {"alloc"}}},
+		},
+	}
+	for _, tc := range cases {
+		opts := defaultOptions
+		fs := flag.NewFlagSet("livetune", flag.ContinueOnError)
+		httpapi.BindFlags(fs, &opts, sessionFlags...)
+		if err := fs.Parse(tc.argv); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(opts, tc.want) {
+			t.Errorf("%q: got %+v, want %+v", tc.argv, opts, tc.want)
+		}
+	}
+}

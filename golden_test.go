@@ -112,8 +112,8 @@ func proposalRun(t *testing.T, m interface {
 	sp := m.Space()
 	var seq []int
 	tn, err := core.NewTuner(sp, m.Evaluate, core.Options{
-		Seed:     seed,
-		Strategy: core.Proposal,
+		Seed:   seed,
+		Engine: "proposal",
 		OnStep: func(iter int, obs core.Observation) {
 			seq = append(seq, sp.GridIndex(obs.Config))
 		},

@@ -71,12 +71,10 @@ type (
 	// Observation pairs a configuration with its measured value.
 	Observation = core.Observation
 	// Options configures a Tuner; the zero value reproduces the
-	// paper's setup (20 initial samples, α = 0.20, Ranking strategy).
+	// paper's setup (20 initial samples, α = 0.20, ranking engine).
 	Options = core.Options
 	// SurrogateConfig holds the density-model hyperparameters.
 	SurrogateConfig = core.SurrogateConfig
-	// Strategy selects Ranking or Proposal candidate selection.
-	Strategy = core.Strategy
 	// Tuner runs the iterative Bayesian-optimization loop.
 	Tuner = core.Tuner
 	// History is the ordered record of evaluated configurations.
@@ -85,16 +83,6 @@ type (
 	Surrogate = core.Surrogate
 	// Prior carries source-domain densities for transfer learning.
 	Prior = core.Prior
-)
-
-// Selection strategies (paper §III-D).
-const (
-	// Ranking scores every not-yet-evaluated candidate exhaustively —
-	// the right choice for finite, discrete HPC parameter spaces.
-	Ranking = core.Ranking
-	// Proposal samples candidates from the good density — required
-	// for continuous parameters.
-	Proposal = core.Proposal
 )
 
 // NewSpace builds a configuration space from parameters.

@@ -6,6 +6,7 @@ import (
 
 	"github.com/hpcautotune/hiperbot/internal/apps/compile40"
 	"github.com/hpcautotune/hiperbot/internal/core"
+	"github.com/hpcautotune/hiperbot/internal/httpapi"
 	"github.com/hpcautotune/hiperbot/internal/stats"
 )
 
@@ -39,7 +40,7 @@ func TestSpaceShape(t *testing.T) {
 }
 
 func TestGroupsSpecRoundTrips(t *testing.T) {
-	if got := core.ParseGroups(compile40.GroupsSpec()); !reflect.DeepEqual(got, compile40.Groups) {
+	if got := httpapi.ParseGroups(compile40.GroupsSpec()); !reflect.DeepEqual(got, compile40.Groups) {
 		t.Fatalf("ParseGroups(GroupsSpec()) = %v, want %v", got, compile40.Groups)
 	}
 	if err := core.ValidateGroups(compile40.Space(), compile40.Groups); err != nil {

@@ -74,26 +74,6 @@ func init() {
 	})
 }
 
-// ParseGroups parses the CLI/flag spelling of a grouping —
-// semicolon-separated groups of comma-separated parameter names, e.g.
-// "opt_level,unroll;tile,align" — into the Options.Groups shape. Empty
-// input returns nil (auto-grouping); blank names are dropped.
-func ParseGroups(s string) [][]string {
-	var out [][]string
-	for _, group := range strings.Split(s, ";") {
-		var names []string
-		for _, name := range strings.Split(group, ",") {
-			if name = strings.TrimSpace(name); name != "" {
-				names = append(names, name)
-			}
-		}
-		if len(names) > 0 {
-			out = append(out, names)
-		}
-	}
-	return out
-}
-
 // ValidateGroups checks a user-supplied grouping against a space
 // without building an engine: every name must exist and appear at most
 // once. Servers call it before journaling a session create, so a bad
@@ -546,7 +526,7 @@ func (groupedAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 		return nil, fmt.Errorf("core: grouped acquisition before the first fit")
 	}
 	if m.degenerate() {
-		return samplingAcquirer{}.Propose(a, k)
+		return pgDrawAcquirer{}.Propose(a, k)
 	}
 	s := m.flat.current()
 	gen := a.History.Generation()

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"sort"
 
 	"github.com/hpcautotune/hiperbot/internal/space"
 	"github.com/hpcautotune/hiperbot/internal/stats"
@@ -14,7 +12,9 @@ import (
 // candidate, argmax — §III-D for finite spaces) and the "proposal"
 // engine (sample candidates from pg, keep the best — for continuous
 // or unenumerable spaces). Both share TPEModel; they differ only in
-// the Acquirer.
+// the Acquirer. "proposal" and the large-space "sampling" engine
+// (sampled.go) share one pg-draw acquirer and differ only in the
+// number of draws.
 
 func init() {
 	RegisterEngine(EngineSpec{
@@ -34,7 +34,7 @@ func init() {
 		Name: "proposal",
 		Pool: PoolUnused,
 		New: func(sp *space.Space, opts Options, pool *Pool) (Model, Acquirer, error) {
-			return &TPEModel{cfg: opts.Surrogate}, proposalAcquirer{}, nil
+			return &TPEModel{cfg: opts.Surrogate}, pgDrawAcquirer{proposal: true}, nil
 		},
 	})
 }
@@ -179,12 +179,12 @@ func (m *TPEModel) Surrogate() *Surrogate { return m.s }
 // with a cheap ScoreBatch gets the allocation-free warm path.
 func RankingAcquirer() Acquirer { return rankingAcquirer{} }
 
-// ProposalAcquirer returns the pg-sampling acquirer used by the
-// "proposal" engine — draw candidates from the model's Sample, keep
-// the best-scoring unevaluated ones — for engines registered outside
-// this package that need pool-free acquisition (e.g. the motpe engine
-// on continuous or unenumerable spaces).
-func ProposalAcquirer() Acquirer { return proposalAcquirer{} }
+// ProposalAcquirer returns the pg-draw acquirer used by the "proposal"
+// engine — draw ProposalCandidates configurations per pick from the
+// model's Sample, keep the best-scoring unevaluated ones — for engines
+// registered outside this package that need pool-free acquisition
+// (e.g. the motpe engine on continuous or unenumerable spaces).
+func ProposalAcquirer() Acquirer { return pgDrawAcquirer{proposal: true} }
 
 // rankingAcquirer scores every remaining pool candidate and picks the
 // argmax (k = 1) or the top-k diversified by Hamming distance.
@@ -363,75 +363,6 @@ func (r *rankedPool) at(i int) (rankedCandidate, bool) {
 		r.sorted = append(r.sorted, top)
 	}
 	return r.sorted[i], true
-}
-
-// proposalAcquirer draws candidates from the model's good density and
-// keeps the best-scoring unevaluated ones.
-type proposalAcquirer struct{}
-
-func (proposalAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
-	if k == 1 {
-		return proposeOne(a)
-	}
-	return proposeBatch(a, k)
-}
-
-// proposeOne draws ProposalCandidates configurations from pg and
-// returns the best-scoring previously unevaluated one, falling back
-// to uniform exploration when every draw was a duplicate.
-func proposeOne(a *Acquisition) ([]space.Config, error) {
-	var best space.Config
-	bestScore := math.Inf(-1)
-	for i := 0; i < a.ProposalCandidates; i++ {
-		c := a.Model.Sample(a.RNG)
-		if a.History.Taken(c) {
-			continue
-		}
-		if sc := a.Model.Score(c); sc > bestScore {
-			bestScore = sc
-			best = c
-		}
-	}
-	if best == nil {
-		// Every proposal was a duplicate (tiny discrete space); fall
-		// back to uniform exploration.
-		for try := 0; try < 100000; try++ {
-			c := a.Space.Sample(a.RNG)
-			if !a.History.Taken(c) {
-				return []space.Config{c}, nil
-			}
-		}
-		return nil, fmt.Errorf("core: proposal strategy exhausted the space")
-	}
-	return []space.Config{best}, nil
-}
-
-// proposeBatch draws ProposalCandidates*k configurations from pg and
-// keeps the k best distinct unevaluated ones.
-func proposeBatch(a *Acquisition, k int) ([]space.Config, error) {
-	type scored struct {
-		c     space.Config
-		score float64
-	}
-	var cands []scored
-	draws := a.ProposalCandidates * k
-	seen := newConfigSet(a.Space, draws)
-	for i := 0; i < draws; i++ {
-		c := a.Model.Sample(a.RNG)
-		if a.History.Taken(c) || !seen.add(c) {
-			continue
-		}
-		cands = append(cands, scored{c: c, score: a.Model.Score(c)})
-	}
-	sort.Slice(cands, func(x, y int) bool { return cands[x].score > cands[y].score })
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	out := make([]space.Config, len(cands))
-	for i, sc := range cands {
-		out[i] = sc.c
-	}
-	return out, nil
 }
 
 func containsConfig(set []space.Config, c space.Config) bool {

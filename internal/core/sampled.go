@@ -167,22 +167,25 @@ func init() {
 		Name: "sampling",
 		Pool: PoolUnused,
 		New: func(sp *space.Space, opts Options, pool *Pool) (Model, Acquirer, error) {
-			return &TPEModel{cfg: opts.Surrogate}, samplingAcquirer{}, nil
+			return &TPEModel{cfg: opts.Surrogate}, pgDrawAcquirer{}, nil
 		},
 	})
 }
 
-// samplingAcquirer is pool-free TPE acquisition: draw
-// CandidateSamples·k configurations from the fitted good density pg,
-// deduplicate, drop evaluated ones, score the rest in one columnar
-// ScoreBatch pass, and keep the top k by (score desc, draw order
-// asc). Unlike the proposal acquirer it scores candidates in batch —
-// the same hot path ranking uses — so acquisition cost is dominated
-// by the draws, not per-row scoring.
-type samplingAcquirer struct{}
+// pgDrawAcquirer is pool-free TPE acquisition, the paper's Proposal
+// rule: draw n·k configurations from the fitted good density pg,
+// deduplicate, drop taken ones, score the rest in one columnar
+// ScoreBatch pass — the same hot path ranking uses — and keep the top
+// k by (score desc, draw order asc). n is ProposalCandidates for the
+// "proposal" engine and CandidateSamples for "sampling"; nothing else
+// differs between the two.
+type pgDrawAcquirer struct{ proposal bool }
 
-func (samplingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
+func (p pgDrawAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 	draws := a.CandidateSamples
+	if p.proposal {
+		draws = a.ProposalCandidates
+	}
 	if draws <= 0 {
 		draws = DefaultCandidateSamples
 	}
@@ -207,7 +210,7 @@ func (samplingAcquirer) Propose(a *Acquisition, k int) ([]space.Config, error) {
 				return []space.Config{c}, nil
 			}
 		}
-		return nil, fmt.Errorf("core: sampling acquisition exhausted the space")
+		return nil, fmt.Errorf("core: pg-draw acquisition exhausted the space")
 	}
 	batch, err := space.NewBatch(a.Space, cands)
 	if err != nil {

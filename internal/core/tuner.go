@@ -14,40 +14,9 @@ import (
 // the full application (paper: f(x)). It is assumed expensive.
 type Objective func(space.Config) float64
 
-// Strategy selects how the next candidate is chosen from the
-// surrogate (paper §III-D). It predates the named-engine registry;
-// Options.Engine supersedes it and accepts any registered engine,
-// with Strategy kept as the zero-config spelling of the two TPE
-// engines.
-type Strategy int
-
-const (
-	// Ranking enumerates an exhaustive candidate set, scores every
-	// not-yet-evaluated configuration, and picks the argmax. The right
-	// choice for the discrete, finite spaces of HPC applications; also
-	// guarantees no duplicate selections.
-	Ranking Strategy = iota
-	// Proposal samples candidates from the good density pg(x) and
-	// picks the best-scoring one — the only viable option for
-	// continuous spaces.
-	Proposal
-)
-
-// String implements fmt.Stringer.
-func (s Strategy) String() string {
-	switch s {
-	case Ranking:
-		return "ranking"
-	case Proposal:
-		return "proposal"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
 // Options configures a Tuner. The zero value plus a Seed reproduces
-// the paper's setup: 20 initial samples, α = 0.20, Ranking on finite
-// spaces and Proposal otherwise.
+// the paper's setup: 20 initial samples, α = 0.20, the "ranking"
+// engine on finite spaces and "proposal" otherwise.
 type Options struct {
 	// InitialSamples seeds H_0 with uniformly random configurations
 	// (paper §III-C step 1; 20 in the paper's experiments).
@@ -57,18 +26,16 @@ type Options struct {
 	Surrogate SurrogateConfig
 	// Engine names the registered engine driving selection ("ranking",
 	// "proposal", "random", "geist", ...; see RegisterEngine). Empty
-	// falls back to Strategy.
+	// picks the paper default: "ranking" when a finite candidate set
+	// exists, "proposal" on continuous spaces, and "sampling" on
+	// discrete grids too large to enumerate.
 	Engine string
 	// EngineConfig carries engine-specific configuration to the
 	// engine's factory (e.g. geist.EngineConfig); nil uses the
 	// engine's defaults.
 	EngineConfig any
-	// Strategy picks Ranking or Proposal when Engine is empty. Ignored
-	// (forced to Proposal) when the space has continuous parameters
-	// and no candidate set is given.
-	Strategy Strategy
 	// ProposalCandidates is the number of pg-samples scored per
-	// iteration under the Proposal strategy.
+	// iteration by the "proposal" engine.
 	ProposalCandidates int
 	// Candidates optionally fixes the candidate pool for pool-backed
 	// engines. When nil, the space is enumerated (requires a fully
@@ -88,8 +55,8 @@ type Options struct {
 	CandidateSamples int
 	// Groups partitions the parameter space for the "grouped" engine:
 	// each inner slice names the parameters of one group (see
-	// ParseGroups for the flag syntax). Parameters named nowhere become
-	// singleton groups; unknown or repeated names are a construction
+	// httpapi.ParseGroups for the flag syntax). Parameters named nowhere
+	// become singleton groups; unknown or repeated names are a construction
 	// error. Nil lets the engine auto-propose groups from the fitted
 	// surrogate's importance/interaction structure at the first
 	// model-guided fit. Engines other than "grouped" ignore it.
@@ -151,7 +118,6 @@ type Tuner struct {
 	engine    string
 	model     Model
 	acquirer  Acquirer
-	strategy  Strategy
 	iter      int
 
 	acq     Acquisition // reused per-acquisition view (no per-Ask alloc)
@@ -178,18 +144,18 @@ func NewTuner(sp *space.Space, obj Objective, opts Options) (*Tuner, error) {
 	name := strings.ToLower(opts.Engine)
 	defaulted := name == ""
 	if defaulted {
-		name = opts.Strategy.String()
+		name = "ranking"
 	}
-	if name == Ranking.String() && opts.Candidates == nil && !sp.AllDiscrete() {
-		// Ranking needs a finite candidate set; fall back to Proposal.
-		name = Proposal.String()
+	if name == "ranking" && opts.Candidates == nil && !sp.AllDiscrete() {
+		// Ranking needs a finite candidate set; fall back to proposal.
+		name = "proposal"
 	}
 	// Large-space mode: a discrete grid past the enumerate limit is
 	// never materialized. The default TPE choice becomes the pool-free
 	// "sampling" engine; explicitly requested pool-backed engines get a
 	// capped SampledPool below.
 	largeGrid := opts.Candidates == nil && sp.AllDiscrete() && gridTooLarge(sp)
-	if largeGrid && defaulted && name == Ranking.String() && opts.PoolCap >= 0 {
+	if largeGrid && defaulted && name == "ranking" && opts.PoolCap >= 0 {
 		name = "sampling"
 	}
 	spec, ok := LookupEngine(name)
@@ -245,16 +211,6 @@ func NewTuner(sp *space.Space, obj Objective, opts Options) (*Tuner, error) {
 	}
 	t.model = model
 	t.acquirer = acquirer
-	// Legacy strategy view: the two TPE engines report themselves;
-	// other engines are classified by whether they select from a pool.
-	switch {
-	case name == Proposal.String():
-		t.strategy = Proposal
-	case name == Ranking.String() || t.pool != nil:
-		t.strategy = Ranking
-	default:
-		t.strategy = Proposal
-	}
 	return t, nil
 }
 
@@ -267,10 +223,6 @@ func (t *Tuner) Model() Model { return t.model }
 
 // EngineName reports which registered engine drives selection.
 func (t *Tuner) EngineName() string { return t.engine }
-
-// StrategyInUse reports the effective selection strategy (the legacy
-// two-valued view of EngineName).
-func (t *Tuner) StrategyInUse() Strategy { return t.strategy }
 
 // Importance fits the engine's model on the current history and
 // returns its per-parameter importance scores. It returns nil scores

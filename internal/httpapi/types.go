@@ -11,8 +11,11 @@ package httpapi
 import "encoding/json"
 
 // SessionOptions is the JSON-serializable subset of core.Options plus
-// the surrogate hyperparameters. Zero fields take the paper defaults
-// (20 initial samples, α = 0.20, Ranking on finite spaces).
+// the surrogate hyperparameters and the session's objectives — the one
+// definition of a session's options, bound to command-line flags by
+// BindFlags and validated and resolved by server.ResolveOptions. Zero
+// fields take the paper defaults (20 initial samples, α = 0.20,
+// ranking on finite spaces).
 type SessionOptions struct {
 	// InitialSamples seeds the history with uniform random draws.
 	InitialSamples int `json:"initial_samples,omitempty"`
@@ -59,7 +62,7 @@ type SessionOptions struct {
 	Liar string `json:"liar,omitempty"`
 	// Groups partitions the parameter space for the "grouped" strategy:
 	// each inner slice names the parameters of one group (the -groups
-	// flag syntax "a,b;c,d" parsed by core.ParseGroups). Parameters not
+	// flag syntax "a,b;c,d" parsed by ParseGroups). Parameters not
 	// mentioned become singleton groups. Empty lets the grouped engine
 	// auto-propose groups from importance and pairwise interactions;
 	// unknown or repeated names fail session creation with 400. Ignored

@@ -145,6 +145,12 @@ func OpenStoreWithConfig(dir string, cfg StoreConfig) (*Store, error) {
 		return nil, err
 	}
 	cfg.Fsync = policy
+	// Session defaults are checked once here: a bad default would
+	// otherwise boot fine and then fail every create that omits it.
+	defaults := httpapi.SessionOptions{Objectives: cfg.DefaultObjectives, Liar: cfg.DefaultLiar}
+	if _, _, err := ResolveOptions(nil, defaults); err != nil {
+		return nil, fmt.Errorf("%w (store default)", err)
+	}
 	if cfg.FlushInterval <= 0 {
 		cfg.FlushInterval = 100 * time.Millisecond
 	}
@@ -371,13 +377,6 @@ func (st *Store) CreateWithSpace(name string, sp *space.Space, spaceJSON json.Ra
 	if opts.Liar == "" {
 		opts.Liar = st.cfg.DefaultLiar
 	}
-	if len(opts.Objectives) > 1 && opts.Strategy == "" {
-		// Multi-objective sessions default to the Pareto-split engine;
-		// resolved here so the journal header records the effective
-		// strategy and an explicit choice (any scalar engine on the
-		// scalarized value) is never overridden.
-		opts.Strategy = "motpe"
-	}
 	id := name
 	if id == "" {
 		id = newID()
@@ -410,22 +409,14 @@ func (st *Store) CreateWithSpace(name string, sp *space.Space, spaceJSON json.Ra
 // newSession wires tuner, leases, and journal together. fresh writes
 // the create header; resume paths skip it (already on disk).
 func (st *Store) newSession(id string, sp *space.Space, opts httpapi.SessionOptions, created time.Time, journalPath string, fresh bool, spaceJSON json.RawMessage) (*Session, error) {
-	coreOpts, err := coreOptions(opts)
+	coreOpts, objs, err := ResolveOptions(sp, opts)
 	if err != nil {
 		return nil, err
 	}
-	// Objective specs are validated before the journal header is
-	// written, so a bad spec fails creation with 400 and never leaves
-	// a journal the next boot cannot resume.
-	objs, err := objective.ParseSet(opts.Objectives)
-	if err != nil {
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	// Group specs are likewise validated against the space before the
-	// journal header is written: an unknown or repeated parameter name
-	// fails creation with 400 and never leaves an unresumable journal.
-	if err := core.ValidateGroups(sp, opts.Groups); err != nil {
-		return nil, fmt.Errorf("server: %w", err)
+	if opts.Strategy == "" {
+		// Journal a defaulted engine (motpe for a multi-objective set)
+		// by name, so the header alone says what the session runs.
+		opts.Strategy = coreOpts.Engine
 	}
 	sess := &Session{id: id, sp: sp, opts: opts, objs: objs, created: created, store: st, spaceJSON: spaceJSON}
 	if journalPath != "" {
@@ -932,50 +923,54 @@ func newID() string {
 	return "s-" + hex.EncodeToString(b[:])
 }
 
-// coreOptions translates wire options into core.Options.
-func coreOptions(o httpapi.SessionOptions) (core.Options, error) {
-	opts := core.Options{
+// ResolveOptions is the one reader of httpapi.SessionOptions: it
+// validates the options against sp and turns them into the tuner
+// options and objective set they select. Zero fields keep the core
+// defaults. The store calls it before a session's journal header is
+// written, so anything it rejects fails creation with 400 and never
+// leaves a journal the next boot cannot resume; in-process tools call
+// it so they reject exactly what the daemon rejects. Store defaults
+// (StoreConfig.Default*) are applied by the store beforehand.
+func ResolveOptions(sp *space.Space, o httpapi.SessionOptions) (core.Options, objective.Set, error) {
+	if o.CandidateSamples < 0 {
+		return core.Options{}, objective.Set{}, fmt.Errorf("server: candidate_samples must be >= 0, got %d", o.CandidateSamples)
+	}
+	if _, err := core.ParseLiarPolicy(o.Liar); err != nil {
+		return core.Options{}, objective.Set{}, fmt.Errorf("server: %w", err)
+	}
+	objs, err := objective.ParseSet(o.Objectives)
+	if err != nil {
+		return core.Options{}, objective.Set{}, fmt.Errorf("server: %w", err)
+	}
+	if err := core.ValidateGroups(sp, o.Groups); err != nil {
+		return core.Options{}, objective.Set{}, fmt.Errorf("server: %w", err)
+	}
+	// The empty name is passed through so NewTuner applies the paper
+	// default; a multi-objective set defaults to the Pareto-split engine
+	// instead, and an explicit choice (any scalar engine on the
+	// scalarized value) is never overridden.
+	engine := strings.ToLower(o.Strategy)
+	if engine == "" && objs.Multi() {
+		engine = "motpe"
+	}
+	if _, ok := core.LookupEngine(engine); engine != "" && !ok {
+		return core.Options{}, objective.Set{}, fmt.Errorf("server: unknown strategy %q (registered: %s)",
+			o.Strategy, strings.Join(core.EngineNames(), ", "))
+	}
+	return core.Options{
 		InitialSamples:     o.InitialSamples,
 		Seed:               o.Seed,
+		Engine:             engine,
 		ProposalCandidates: o.ProposalCandidates,
 		PoolCap:            o.PoolCap,
 		CandidateSamples:   o.CandidateSamples,
 		Liar:               o.Liar,
 		Groups:             o.Groups,
-		Surrogate:          coreSurrogateConfig(o),
-	}
-	if o.CandidateSamples < 0 {
-		return core.Options{}, fmt.Errorf("server: candidate_samples must be >= 0, got %d", o.CandidateSamples)
-	}
-	// Liar is validated here so a bad policy fails creation with 400
-	// before the journal header is written, like a bad strategy.
-	if _, err := core.ParseLiarPolicy(o.Liar); err != nil {
-		return core.Options{}, fmt.Errorf("server: %w", err)
-	}
-	// Strategy selects any registered engine by name ("ranking",
-	// "proposal", "random", "geist" when compiled in, ...). The empty
-	// string is passed through so NewTuner applies the paper default —
-	// ranking on enumerable spaces, the pool-free sampling engine on
-	// grids past the enumerate limit. Non-empty names are validated
-	// here so session creation fails with a 400 rather than deep
-	// inside NewTuner.
-	name := strings.ToLower(o.Strategy)
-	if name != "" {
-		if _, ok := core.LookupEngine(name); !ok {
-			return core.Options{}, fmt.Errorf("server: unknown strategy %q (registered: %s)",
-				o.Strategy, strings.Join(core.EngineNames(), ", "))
-		}
-	}
-	opts.Engine = name
-	return opts, nil
-}
-
-// coreSurrogateConfig extracts the surrogate hyperparameters.
-func coreSurrogateConfig(o httpapi.SessionOptions) core.SurrogateConfig {
-	return core.SurrogateConfig{
-		Quantile:  o.Quantile,
-		Smoothing: o.Smoothing,
-		Bandwidth: o.Bandwidth,
-		Bins:      o.Bins,
-	}
+		Surrogate: core.SurrogateConfig{
+			Quantile:  o.Quantile,
+			Smoothing: o.Smoothing,
+			Bandwidth: o.Bandwidth,
+			Bins:      o.Bins,
+		},
+	}, objs, nil
 }
